@@ -5,14 +5,21 @@ and Image Select operators.  This simulator reproduces the operator
 *contract* — (image, natural-language question) → typed answer — with a
 pixel-level detector:
 
-1. colour segmentation: per category, mask pixels within L∞ tolerance of the
-   category colour;
-2. connected-component labelling (``scipy.ndimage.label``);
-3. components above a minimum area count as object instances.
+1. colour segmentation in one lookup: per-channel tables map each channel
+   value to the bitmask of categories whose colour it is within L∞
+   tolerance of, so ``lut_r[R] & lut_g[G] & lut_b[B]`` is every pixel's
+   category membership;
+2. connected-component labelling (``scipy.ndimage.label``, 4-connected)
+   for each category whose bit is present;
+3. components of at least a minimum area count as object instances; areas
+   and centroids come from ``np.bincount`` over the label image.
 
-The detector sees only :attr:`Image.pixels`; the scene ground truth stays in
-the dataset generator.  An optional miss-probability noise model lets
-robustness experiments degrade the "model".
+Detections depend only on the pixels, the tolerance and the minimum area,
+so each image keeps them (see :meth:`Blip2Sim.detect`) and later questions
+about it read neither pixels nor the detector.  The detector sees only
+:attr:`Image.pixels`; the scene ground truth stays in the dataset
+generator.  An optional miss-probability noise model, applied per call,
+lets robustness experiments degrade the "model".
 """
 
 from __future__ import annotations
@@ -26,10 +33,14 @@ from scipy import ndimage
 
 from repro.errors import OperatorError
 from repro.vision.image import Image
-from repro.vision.scene import CATEGORIES, Category, categories_in_phrase
+from repro.vision.scene import CATEGORIES, categories_in_phrase
 
 COLOR_TOLERANCE = 30
 MIN_COMPONENT_AREA = 5
+
+#: ``tolerance`` → ``(3, 256)`` per-channel tables of category bitmasks,
+#: built on first use: a model is constructed per query, a table only once.
+_LOOKUP_TABLES: dict[int, np.ndarray] = {}
 
 _COUNT_PATTERNS = (
     re.compile(r"how many\b(?P<rest>.*)", re.IGNORECASE),
@@ -56,6 +67,54 @@ class Detection:
     area: int
 
 
+def _lookup_tables(tolerance: int) -> np.ndarray:
+    """Row *c*, entry *v*: bit *i* set when channel value *v* is within
+    *tolerance* of channel *c* of category *i*'s colour."""
+    tables = _LOOKUP_TABLES.get(tolerance)
+    if tables is None:
+        dtype = np.min_scalar_type((1 << len(CATEGORIES)) - 1)
+        tables = np.zeros((3, 256), dtype=dtype)
+        values = np.arange(256)
+        for bit, category in enumerate(CATEGORIES.values()):
+            color = np.array(category.color)[:, None]
+            near = np.abs(values[None, :] - color) <= tolerance
+            tables |= near.astype(dtype) << bit
+        _LOOKUP_TABLES[tolerance] = tables
+    return tables
+
+
+def _detect_pixels(pixels: np.ndarray, tolerance: int,
+                   min_area: int) -> tuple[Detection, ...]:
+    """Every category's components of at least *min_area* pixels, in
+    category order, each category's in ``ndimage.label`` order."""
+    red, green, blue = _lookup_tables(tolerance)
+    members = (red[pixels[..., 0]] & green[pixels[..., 1]]
+               & blue[pixels[..., 2]])
+    present = int(np.bitwise_or.reduce(members, axis=None))
+    width = pixels.shape[1]
+    detections = []
+    for bit, category in enumerate(CATEGORIES.values()):
+        if not present & (1 << bit):
+            continue
+        labelled, count = ndimage.label(members & (1 << bit))
+        flat = labelled.ravel()
+        where = np.flatnonzero(flat)
+        labels = flat[where]
+        ys, xs = np.divmod(where, width)
+        areas = np.bincount(labels, minlength=count + 1)
+        # Integer coordinate sums are exact in float64, so sum / area is
+        # bit for bit the mean of the component's coordinates.
+        xsums = np.bincount(labels, weights=xs, minlength=count + 1)
+        ysums = np.bincount(labels, weights=ys, minlength=count + 1)
+        for index in range(1, count + 1):
+            area = int(areas[index])
+            if area >= min_area:
+                detections.append(Detection(
+                    category.name, float(xsums[index] / area),
+                    float(ysums[index] / area), area))
+    return tuple(detections)
+
+
 class Blip2Sim:
     """Simulated BLIP-2 visual model (detection + VQA + yes/no select)."""
 
@@ -64,6 +123,11 @@ class Blip2Sim:
                  miss_probability: float = 0.0, seed: int = 0):
         if not 0.0 <= miss_probability <= 1.0:
             raise ValueError("miss_probability must be within [0, 1]")
+        for name, value in (("tolerance", tolerance), ("min_area", min_area)):
+            if isinstance(value, bool) or not isinstance(value, int) \
+                    or value < 0:
+                raise ValueError(
+                    f"{name} must be a non-negative int, got {value!r}")
         self.tolerance = tolerance
         self.min_area = min_area
         self.miss_probability = miss_probability
@@ -74,35 +138,25 @@ class Blip2Sim:
     # ------------------------------------------------------------------
 
     def detect(self, image: Image) -> list[Detection]:
-        """All object instances found in *image*, every category."""
-        detections: list[Detection] = []
-        pixels = image.pixels.astype(np.int16)
-        for category in CATEGORIES.values():
-            detections.extend(self._detect_category(pixels, category))
-        if self.miss_probability > 0.0:
-            detections = [d for d in detections
-                          if self._rng.random() >= self.miss_probability]
-        return detections
+        """All object instances found in *image*, every category.
 
-    def _detect_category(self, pixels: np.ndarray,
-                         category: Category) -> list[Detection]:
-        color = np.array(category.color, dtype=np.int16)
-        diff = np.abs(pixels - color[None, None, :])
-        mask = (diff <= self.tolerance).all(axis=2)
-        if not mask.any():
-            return []
-        labelled, count = ndimage.label(mask)
-        detections = []
-        for index in range(1, count + 1):
-            component = labelled == index
-            area = int(component.sum())
-            if area < self.min_area:
-                continue
-            ys, xs = np.nonzero(component)
-            detections.append(Detection(category.name,
-                                        float(xs.mean()), float(ys.mean()),
-                                        area))
-        return detections
+        The noise-free detections are memoized on *image* per
+        ``(tolerance, min_area)`` — like its fingerprint, they live as long
+        as the image and are shared by every model over it.  The
+        miss-probability filter runs after the memo, drawing once per
+        detection on every call, and the result is always a fresh list.
+        """
+        key = (self.tolerance, self.min_area)
+        memo = image._detections
+        if memo is None:
+            memo = image._detections = {}
+        found = memo.get(key)
+        if found is None:
+            found = memo[key] = _detect_pixels(image.pixels, *key)
+        if self.miss_probability > 0.0:
+            return [d for d in found
+                    if self._rng.random() >= self.miss_probability]
+        return list(found)
 
     def count(self, image: Image, category: str) -> int:
         return sum(1 for d in self.detect(image) if d.category == category)

@@ -17,6 +17,12 @@ class Image:
     recovered from the raster itself.
     """
 
+    #: ``(tolerance, min_area)`` → detections, filled by
+    #: :meth:`repro.vision.blip.Blip2Sim.detect`; memoized like the
+    #: fingerprint, so it assumes the pixels never change.  A class-level
+    #: ``None`` until then, so images never detected carry no memo.
+    _detections: dict | None = None
+
     def __init__(self, pixels: np.ndarray, path: str = ""):
         pixels = np.asarray(pixels)
         if pixels.ndim != 3 or pixels.shape[2] != 3:
